@@ -1,6 +1,6 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test race bench bench-baseline bench-smoke serve-smoke calibrate calibrate-smoke crash-matrix trace microbench experiments quick-experiments examples clean
+.PHONY: all build lint test race bench perfbench bench-baseline bench-smoke serve-smoke calibrate calibrate-smoke crash-matrix trace microbench experiments quick-experiments examples clean
 
 all: build lint test
 
@@ -32,6 +32,13 @@ race:
 bench:
 	go run ./cmd/rtgc-bench -out BENCH_PR8.json perf
 	go run ./cmd/rtgc-bench validate BENCH_PR8.json
+
+# The repository benchmark (perfbench/, declared in BENCHMARK.json): one
+# 20-second untraced run per workload, each printing its JSON result line.
+perfbench:
+	for w in sort comp serve group4; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
 
 # Regenerate the committed quick-scale baseline (BENCH_SMOKE.json) that
 # bench-smoke gates fresh reports against. Simulated numbers are

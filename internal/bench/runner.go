@@ -130,14 +130,9 @@ type Runtime struct {
 	GC      core.Collector
 }
 
-// NewRuntime constructs the runtime rc describes without running anything.
-func NewRuntime(rc RunConfig) (*Runtime, error) {
-	cost := rc.Cost
-	if cost == (simtime.CostModel{}) {
-		cost = simtime.Default1993()
-	}
-
-	// The nursery cap must accommodate replayed deltas (N plus expansion).
+// heapConfig sizes the heap rc describes. The nursery cap must accommodate
+// replayed deltas (N plus expansion).
+func (rc RunConfig) heapConfig() heap.Config {
 	nurseryCap := rc.NurseryCapBytes
 	if nurseryCap == 0 {
 		nurseryCap = 16 * rc.Params.NBytes
@@ -149,11 +144,21 @@ func NewRuntime(rc RunConfig) (*Runtime, error) {
 	if oldSemi == 0 {
 		oldSemi = 96 << 20
 	}
-	h := heap.New(heap.Config{
+	return heap.Config{
 		NurseryBytes:    rc.Params.NBytes,
 		NurseryCapBytes: nurseryCap,
 		OldSemiBytes:    oldSemi,
-	})
+	}
+}
+
+// NewRuntime constructs the runtime rc describes without running anything.
+func NewRuntime(rc RunConfig) (*Runtime, error) {
+	cost := rc.Cost
+	if cost == (simtime.CostModel{}) {
+		cost = simtime.Default1993()
+	}
+
+	h := heap.New(rc.heapConfig())
 
 	logPolicy := core.LogAllMutations
 	if rc.Config == CfgSC {
@@ -236,22 +241,7 @@ func NewGroupRuntime(rc RunConfig, n int) (*GroupRuntime, error) {
 	if cost == (simtime.CostModel{}) {
 		cost = simtime.Default1993()
 	}
-	nurseryCap := rc.NurseryCapBytes
-	if nurseryCap == 0 {
-		nurseryCap = 16 * rc.Params.NBytes
-		if nurseryCap < 16<<20 {
-			nurseryCap = 16 << 20
-		}
-	}
-	oldSemi := rc.OldSemiBytes
-	if oldSemi == 0 {
-		oldSemi = 96 << 20
-	}
-	h := heap.New(heap.Config{
-		NurseryBytes:    rc.Params.NBytes,
-		NurseryCapBytes: nurseryCap,
-		OldSemiBytes:    oldSemi,
-	})
+	h := heap.New(rc.heapConfig())
 	logPolicy := core.LogAllMutations
 	if rc.Config == CfgSC {
 		logPolicy = core.LogPointersOnly

@@ -2,6 +2,9 @@ package checkpoint
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -258,5 +261,49 @@ func TestRecoverEmptyDir(t *testing.T) {
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Recover on empty dir: %v (want *CorruptError)", err)
+	}
+}
+
+// TestRecoverRejectsHostileHeapConfig writes CRC-valid snapshot headers
+// whose heap sizes no Writer produces and requires a *CorruptError before
+// any heap is built: a 1 TiB semispace or nursery cap must not reach
+// heap.New, and neither may a negative nursery cap.
+func TestRecoverRejectsHostileHeapConfig(t *testing.T) {
+	const tib = int64(1) << 40
+	for _, tc := range []struct {
+		name                 string
+		nursery, nCap, semis int64
+	}{
+		{"1TiB semispace", 64 << 10, 64 << 10, tib},
+		{"1TiB nursery cap", 64 << 10, tib, 1 << 20},
+		{"negative nursery cap", 64 << 10, -1, 1 << 20},
+		{"arena over the maximum", 64 << 10, 64 << 10, heap.MaxArenaBytes/2 + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			f, err := os.Create(filepath.Join(dir, "snap-00000001.ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e enc
+			e.u64(version)
+			e.u64(1) // epoch
+			e.i64(0) // WAL base
+			e.i64(tc.nursery)
+			e.i64(tc.nCap)
+			e.i64(tc.semis)
+			e.u8(0)
+			rw := newRecordWriter(f)
+			rw.writeMagic(snapMagic)
+			rw.record(recSnapHeader, e.b)
+			if err := errors.Join(rw.err, f.Close()); err != nil {
+				t.Fatal(err)
+			}
+			r, err := RecoverEpoch(dir, 1)
+			var ce *CorruptError
+			if !errors.As(err, &ce) || !strings.Contains(ce.Detail, "implausible heap config") {
+				t.Fatalf("RecoverEpoch = %v, %v; want an implausible-config *CorruptError", r, err)
+			}
+		})
 	}
 }

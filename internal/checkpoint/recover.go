@@ -191,6 +191,22 @@ func (r *Restored) restoredState() *state {
 	}
 }
 
+// implausibleConfig reports why a persisted heap config cannot have come
+// from a Writer, or "" when it can. Every size, and the arena they imply,
+// must fit heap.MaxArenaBytes, so a CRC-valid hostile header is rejected
+// before heap.New is asked for an allocation the host cannot survive.
+func implausibleConfig(cfg heap.Config) string {
+	switch {
+	case cfg.NurseryBytes <= 0 || cfg.OldSemiBytes <= 0:
+		return "non-positive space size"
+	case cfg.NurseryCapBytes < cfg.NurseryBytes:
+		return "nursery cap below the initial nursery"
+	case !heap.ArenaFits(cfg.NurseryCapBytes, cfg.OldSemiBytes):
+		return "arena larger than heap.MaxArenaBytes"
+	}
+	return ""
+}
+
 // readSnapshot parses the snapshot file into a fresh heap.
 //
 //gclint:io reads the epoch's snapshot file
@@ -231,8 +247,8 @@ func readSnapshot(path string, r *Restored, walBase *int64) error {
 	if epoch != r.Epoch {
 		return corrupt(path, "snapshot claims epoch %d, file is named for %d", epoch, r.Epoch)
 	}
-	if cfg.NurseryBytes <= 0 || cfg.OldSemiBytes <= 0 || cfg.NurseryBytes > 1<<40 || cfg.OldSemiBytes > 1<<40 {
-		return corrupt(path, "implausible heap config %+v", cfg)
+	if why := implausibleConfig(cfg); why != "" {
+		return corrupt(path, "implausible heap config %+v: %s", cfg, why)
 	}
 	r.Cfg = cfg
 	r.Heap = heap.New(cfg)

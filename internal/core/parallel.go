@@ -11,7 +11,7 @@ package core
 //
 //   - Each member gets its own Clock (clocks are written on every charge;
 //     sharing one would race) and runs with NaiveBarrier set, so the write
-//     barrier never touches the shared dirty-stamp table. Logging still
+//     barrier never touches the shared dirty bitmap. Logging still
 //     goes to the member's private log, which is single-writer.
 //   - Allocation inside a member's private nursery chunk is lock-free;
 //     chunk refill and direct shared-cursor allocation take the group lock
@@ -52,7 +52,7 @@ type ParallelGroup struct {
 
 // NewParallelGroup builds an n-member goroutine-backed group over h. The
 // members come back reconfigured for parallel execution: private clocks and
-// naive (stamp-free) write barriers. Attach the collector with AttachGC —
+// naive (bitmap-free) write barriers. Attach the collector with AttachGC —
 // it is wrapped so that every collection entry point stops the world first.
 func NewParallelGroup(h *heap.Heap, cost simtime.CostModel, policy LogPolicy, n int) *ParallelGroup {
 	g := NewGroup(h, simtime.NewClock(), cost, policy, n)

@@ -32,7 +32,6 @@ type Shadow struct {
 
 func intShadow(i int64) Shadow  { return Shadow{Int: i} }
 func nodeShadow(n *Node) Shadow { return Shadow{Node: n} }
-func nilShadow() Shadow         { return Shadow{IsNil: true} }
 
 // rootSource exposes the driver's roots to the collector.
 type rootSource struct {

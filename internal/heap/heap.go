@@ -22,6 +22,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxArenaBytes bounds the arena a Config may describe: the nursery cap
+// plus both old semispaces. It sits far above every configuration the
+// repository runs (the largest is about 200 MB) and far below what would
+// exhaust a host, so a decoder of a persisted Config can reject anything
+// larger before calling New.
+const MaxArenaBytes = 4 << 30
+
+// ArenaFits reports whether a nursery cap and an old semispace size, both
+// in bytes, describe an arena of at most MaxArenaBytes.
+func ArenaFits(nurseryCapBytes, oldSemiBytes int64) bool {
+	return nurseryCapBytes >= 0 && nurseryCapBytes <= MaxArenaBytes &&
+		oldSemiBytes >= 0 && oldSemiBytes <= MaxArenaBytes &&
+		nurseryCapBytes+2*oldSemiBytes <= MaxArenaBytes
+}
+
 // Heap is the simulated two-generation heap: a nursery plus two old
 // semispaces over a single flat word arena.
 type Heap struct {
@@ -33,11 +48,17 @@ type Heap struct {
 	oldFrom *Space // current old space (minor collections promote here)
 	oldTo   *Space // reserve semispace (major collections copy here)
 
-	// Log-epoch coalescing side table (see stamp.go). stamps parallels
-	// Arena word-for-word; a stamp equal to logEpoch marks a word whose
-	// mutation is already recorded in the log for the current cycle.
-	stamps   []uint32
-	logEpoch uint32
+	// Log coalescing side table (see stamp.go). dirty holds one bit per
+	// Arena word; a set bit marks a word whose mutation the log already
+	// retains since the last pause entry. dirtyList lists the bitmap words
+	// that went nonzero since then, so BeginLogEpoch clears only those.
+	// logEpoch numbers pause entries for EpochHook. The bitmap has exactly
+	// one writer: serial groups run their members on one goroutine and
+	// share it, and goroutine-backed groups (core.NewParallelGroup) set
+	// NaiveBarrier, which never reads or marks it.
+	dirty     []uint64
+	dirtyList []uint32
+	logEpoch  uint32
 
 	// EpochHook, when non-nil, observes every BeginLogEpoch — the trace
 	// subsystem uses it to mark coalescing epochs. The heap stays free of
@@ -63,13 +84,18 @@ func New(cfg Config) *Heap {
 	if cfg.NurseryCapBytes < cfg.NurseryBytes {
 		cfg.NurseryCapBytes = cfg.NurseryBytes
 	}
+	if !ArenaFits(cfg.NurseryCapBytes, cfg.OldSemiBytes) {
+		//gclint:allow panicpath -- invariant: construction-time config misuse; decoders check persisted sizes with ArenaFits first
+		panic("heap: arena larger than MaxArenaBytes")
+	}
 	nCap := uint64(cfg.NurseryCapBytes) / BytesPerWord
 	oCap := uint64(cfg.OldSemiBytes) / BytesPerWord
 
 	// Word 0 is reserved so that Value(0) is never a valid object pointer.
 	lo := uint64(1)
-	h := &Heap{Arena: make([]Value, lo+nCap+2*oCap)}
-	h.stamps = make([]uint32, len(h.Arena))
+	words := lo + nCap + 2*oCap
+	h := &Heap{Arena: make([]Value, words)}
+	h.dirty = make([]uint64, (words+63)/64)
 	h.logEpoch = 1
 	h.Nursery = Space{Name: "nursery", Lo: lo, Cap: lo + nCap}
 	h.oldA = Space{Name: "oldA", Lo: lo + nCap, Cap: lo + nCap + oCap}

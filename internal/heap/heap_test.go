@@ -366,3 +366,26 @@ func TestCensus(t *testing.T) {
 		t.Fatalf("census: %+v", c)
 	}
 }
+
+// TestArenaFits pins the arena bound decoders check before calling New,
+// including sizes whose sum would overflow int64.
+func TestArenaFits(t *testing.T) {
+	for _, tc := range []struct {
+		nCap, semi int64
+		want       bool
+	}{
+		{16 << 20, 96 << 20, true},
+		{MaxArenaBytes, 0, true},
+		{MaxArenaBytes - 2<<20, 1 << 20, true},
+		{MaxArenaBytes - 2<<20, 1<<20 + 1, false},
+		{1 << 40, 1 << 20, false},
+		{1 << 20, 1 << 40, false},
+		{1 << 20, 1 << 62, false},
+		{-1, 1 << 20, false},
+		{1 << 20, -1, false},
+	} {
+		if got := ArenaFits(tc.nCap, tc.semi); got != tc.want {
+			t.Errorf("ArenaFits(%d, %d) = %v, want %v", tc.nCap, tc.semi, got, tc.want)
+		}
+	}
+}

@@ -99,15 +99,18 @@ const DefaultCapacity = 1 << 16
 // the oldest events are dropped (flight-recorder semantics) and the drop is
 // counted; Events re-synchronizes to a structurally consistent suffix. All
 // methods are nil-receiver-safe: a nil *Recorder records nothing and
-// allocates nothing, which is how tracing is disabled.
+// allocates nothing, which is how tracing is disabled. The ring's storage
+// grows on demand up to its capacity, so a recorder costs host memory in
+// proportion to the events it has seen, not to the capacity it was given.
 //
 // The recorder is not safe for concurrent use; the simulation is
 // single-threaded by design.
 type Recorder struct {
-	buf     []Event
-	start   int // index of the oldest retained event
-	n       int // number of retained events
-	dropped int64
+	buf      []Event // grows to capacity, then wraps
+	capacity int
+	start    int // index of the oldest retained event
+	n        int // number of retained events
+	dropped  int64
 
 	// evictedInPause tracks whether the oldest *retained* event sits inside
 	// a pause whose begin was evicted, so Events can trim to a balanced
@@ -121,12 +124,24 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{capacity: capacity}
 }
 
 // emit appends e, evicting the oldest event when the ring is full.
 func (r *Recorder) emit(e Event) {
 	if r == nil {
+		return
+	}
+	if len(r.buf) < r.capacity {
+		// Still filling: nothing has been evicted, so start is 0 and the
+		// retained events are exactly buf.
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Event, len(r.buf), min(max(2*len(r.buf), 1024), r.capacity))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, e)
+		r.n++
 		return
 	}
 	if r.n == len(r.buf) {

@@ -80,6 +80,33 @@ func TestRingDropsOldestAndStaysConsistent(t *testing.T) {
 	}
 }
 
+// TestRingGrowsOnDemand pins that the ring's storage grows as events
+// arrive, across several growth steps, with no event lost or reordered
+// before the capacity is reached, and drop-oldest behaviour after it.
+func TestRingGrowsOnDemand(t *testing.T) {
+	const capacity = 3000
+	r := trace.NewRecorder(capacity)
+	check := func(emitted int) {
+		t.Helper()
+		want := min(emitted, capacity)
+		evs := r.Events()
+		if r.Len() != want || len(evs) != want || r.Dropped() != int64(emitted-want) {
+			t.Fatalf("after %d events: Len %d, %d events, %d dropped; want %d retained", emitted, r.Len(), len(evs), r.Dropped(), want)
+		}
+		for i, e := range evs {
+			if at := simtime.Duration(emitted - want + i); e.At != at {
+				t.Fatalf("after %d events: event %d at %d, want %d", emitted, i, e.At, at)
+			}
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		r.AllocEpoch(simtime.Duration(i), 0, int64(i))
+		if n := i + 1; n == 1 || n == 1024 || n == 1025 || n == 2500 || n == capacity || n == capacity+1 || n == 4000 {
+			check(n)
+		}
+	}
+}
+
 // TestRingTrimsEvictedPause covers the flight-recorder edge: when a pause's
 // begin is evicted while its end survives, Events must discard through that
 // end so the suffix still validates.
