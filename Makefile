@@ -1,6 +1,6 @@
 # repligc — common tasks. Everything is stdlib-only and offline.
 
-.PHONY: all build lint test race bench perfbench bench-baseline bench-smoke serve-smoke calibrate calibrate-smoke crash-matrix trace microbench experiments quick-experiments examples clean
+.PHONY: all build lint test race bench perfbench perfbench-smoke bench-baseline bench-smoke serve-smoke calibrate calibrate-smoke crash-matrix trace microbench experiments quick-experiments examples clean
 
 all: build lint test
 
@@ -38,6 +38,18 @@ bench:
 perfbench:
 	for w in sort comp serve group4; do \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
+
+# CI's repository-benchmark smoke: perfbench's own tests, then a 1-second
+# untraced run of every workload. Each JSON result line must report
+# "correct":true and "failed":0, or the target fails.
+perfbench-smoke:
+	cd perfbench && go test ./...
+	for w in sort comp serve group4; do \
+		line=$$(bash perfbench/run.sh --workload $$w --seconds 1 --trace 0 | tail -n 1) || exit 1; \
+		echo "$$w: $$line"; \
+		case "$$line" in *'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "perfbench-smoke: $$w result is not correct with 0 failed" >&2; exit 1 ;; esac; \
 	done
 
 # Regenerate the committed quick-scale baseline (BENCH_SMOKE.json) that

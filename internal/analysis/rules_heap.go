@@ -24,13 +24,15 @@ func (*BarrierRule) Doc() string {
 
 // heapWriters are Heap methods that mutate arena words without logging.
 var heapWriters = map[string]string{
-	"Store":      "Mutator.Set",
-	"StoreByte":  "Mutator.SetByte",
-	"SetBytes":   "Mutator.SetByteRange",
-	"SetForward": "(collector-only)",
-	"AllocIn":    "Mutator.Alloc",
-	"CopyObject": "(collector-only)",
-	"SwapOld":    "(collector-only)",
+	"Store":            "Mutator.Set",
+	"StoreByte":        "Mutator.SetByte",
+	"StoreBytes":       "Mutator.SetByteRange",
+	"SetBytes":         "Mutator.SetByteRange",
+	"CopyPayloadBytes": "Mutator.CopyByteRange",
+	"SetForward":       "(collector-only)",
+	"AllocIn":          "Mutator.Alloc",
+	"CopyObject":       "(collector-only)",
+	"SwapOld":          "(collector-only)",
 }
 
 // heapReaders are Heap methods that read arena words without going through
@@ -38,6 +40,7 @@ var heapWriters = map[string]string{
 var heapReaders = map[string]string{
 	"Load":      "Mutator.Get",
 	"LoadByte":  "Mutator.GetByte",
+	"LoadBytes": "Mutator.GetByteRange",
 	"Bytes":     "Mutator.Bytes",
 	"RawHeader": "Mutator.Header",
 }

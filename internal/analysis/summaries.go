@@ -15,11 +15,12 @@ package analysis
 //     kept separate because the stalehandle rule keys on flips while future
 //     rules (e.g. alloc-free fast paths) key on allocation.
 //   - unlogged-store: the function can transitively reach a raw store into
-//     heap-object payload memory (Heap.Store/StoreByte/SetBytes or a direct
-//     Arena write) without passing a logging boundary. The propagation stops
-//     at functions that append to the mutation log and at the exported API
-//     of the collector packages — inside that boundary, raw stores are the
-//     collector's own replica writes, which are correct by construction.
+//     heap-object payload memory (Heap.Store/StoreByte/StoreBytes/SetBytes/
+//     CopyPayloadBytes or a direct Arena write) without passing a logging
+//     boundary. The propagation stops at functions that append to the
+//     mutation log and at the exported API of the collector packages —
+//     inside that boundary, raw stores are the collector's own replica
+//     writes, which are correct by construction.
 //
 // The graph also computes an in-pause summary for the pauseonly rule: a
 // function is in-pause when every static call site is dominated by a
@@ -139,9 +140,11 @@ var builtinFacts = map[string]FuncFacts{
 	// wraps). Header/forwarding writes (SetForward, CopyObject) are collector
 	// mechanics, not payload mutations, and are policed by the barrier and
 	// forward rules instead.
-	heapPkgPath + ".Heap.Store":     {UnloggedStore: true, StoreVia: "Heap.Store"},
-	heapPkgPath + ".Heap.StoreByte": {UnloggedStore: true, StoreVia: "Heap.StoreByte"},
-	heapPkgPath + ".Heap.SetBytes":  {UnloggedStore: true, StoreVia: "Heap.SetBytes"},
+	heapPkgPath + ".Heap.Store":            {UnloggedStore: true, StoreVia: "Heap.Store"},
+	heapPkgPath + ".Heap.StoreByte":        {UnloggedStore: true, StoreVia: "Heap.StoreByte"},
+	heapPkgPath + ".Heap.StoreBytes":       {UnloggedStore: true, StoreVia: "Heap.StoreBytes"},
+	heapPkgPath + ".Heap.SetBytes":         {UnloggedStore: true, StoreVia: "Heap.SetBytes"},
+	heapPkgPath + ".Heap.CopyPayloadBytes": {UnloggedStore: true, StoreVia: "Heap.CopyPayloadBytes"},
 
 	// The mutator allocation API: the pacer taxes every allocation and the
 	// collector may run (and flip) inside the call.

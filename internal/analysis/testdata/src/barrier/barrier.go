@@ -33,3 +33,11 @@ type wrapper struct{ inner *heap.Heap }
 func (w wrapper) Load(p heap.Value, i int) heap.Value { return heap.Nil }
 
 func fine(w wrapper, p heap.Value) heap.Value { return w.Load(p, 0) }
+
+// The word-wide byte kernels write and read payload like their per-byte
+// counterparts: both rules must know them.
+func byteKernels(h *heap.Heap, dst, src heap.Value) {
+	h.StoreBytes(dst, 1, []byte("yz"))
+	h.CopyPayloadBytes(dst, src, 0, 16)
+	h.LoadBytes(src, 0, make([]byte, 4))
+}

@@ -151,6 +151,32 @@ func BenchmarkBarrierNaive(b *testing.B) {
 	}
 }
 
+// BenchmarkSetByteRange measures the compiler's code-buffer flush: a
+// 72-byte (eight encoded instructions) range store into a nursery byte
+// buffer, cycling through the buffer's flush offsets. Asserted
+// allocation-free.
+func BenchmarkSetByteRange(b *testing.B) {
+	m, _ := benchMutator(rtCfg())
+	const flush, flushes = 72, 16
+	buf := m.MustAllocBytes(flush * flushes)
+	data := make([]byte, flush)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	b.ReportAllocs()
+	b.SetBytes(flush)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.SetByteRange(buf, (i%flushes)*flush, data)
+	}
+	b.StopTimer()
+	if n := testing.AllocsPerRun(1000, func() {
+		m.SetByteRange(buf, 0, data)
+	}); n != 0 {
+		b.Fatalf("SetByteRange allocates %.1f times per store, want 0", n)
+	}
+}
+
 // benchReplay drives a mutation-heavy loop — a long-lived nursery ref
 // mutated between incremental pauses — and reports log entries re-applied
 // per operation. With the naive barrier every store between two pauses of

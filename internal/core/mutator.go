@@ -341,6 +341,10 @@ func (m *Mutator) skipByteWordsLog(p heap.Value, w, n int) bool {
 // GetByte reads byte i of a byte-kind object.
 func (m *Mutator) GetByte(p heap.Value, i int) byte { return m.H.LoadByte(p, i) }
 
+// GetByteRange reads len(dst) bytes of a byte-kind object starting at byte
+// off — GetByte over a range, moved a word at a time.
+func (m *Mutator) GetByteRange(p heap.Value, off int, dst []byte) { m.H.LoadBytes(p, off, dst) }
+
 // SetByte mutates byte i of a byte-kind object. Byte mutations are only
 // logged under LogAllMutations — the paper's compiler modification whose
 // cost shows up in Comp (§4.5). The coalesced entry covers the containing
@@ -368,18 +372,33 @@ func (m *Mutator) SetByte(p heap.Value, i int, b byte) {
 // when it emits code into heap buffers). The entry is widened to word
 // alignment so it matches what the dirty bits vouch for.
 func (m *Mutator) SetByteRange(p heap.Value, off int, data []byte) {
-	for i, b := range data {
-		m.H.StoreByte(p, off+i, b)
-	}
-	if m.Policy != LogAllMutations || len(data) == 0 {
+	m.H.StoreBytes(p, off, data)
+	m.logByteRange(p, off, len(data))
+}
+
+// CopyByteRange copies the first n payload bytes of src into the same
+// offsets of dst and logs the range exactly as SetByteRange(dst, 0, ...)
+// with those bytes would — the block copy a growing byte buffer needs,
+// without staging the bytes in Go memory.
+func (m *Mutator) CopyByteRange(dst, src heap.Value, n int) {
+	m.H.CopyPayloadBytes(dst, src, 0, n)
+	m.logByteRange(dst, 0, n)
+}
+
+// logByteRange is the barrier tail of the byte-range stores: one entry for
+// the n bytes at off (widened to whole words unless NaiveBarrier), or none
+// when the policy does not log bytes, the range is empty, or the fast path
+// proves the log already covers it.
+func (m *Mutator) logByteRange(p heap.Value, off, n int) {
+	if m.Policy != LogAllMutations || n == 0 {
 		return
 	}
 	if m.NaiveBarrier {
-		m.logMutation(LogEntry{Obj: p, Slot: int32(off), Len: int32(len(data)), Byte: true})
+		m.logMutation(LogEntry{Obj: p, Slot: int32(off), Len: int32(n), Byte: true})
 		return
 	}
 	w0 := off / heap.BytesPerWord
-	nw := (off+len(data)-1)/heap.BytesPerWord - w0 + 1
+	nw := (off+n-1)/heap.BytesPerWord - w0 + 1
 	if m.skipByteWordsLog(p, w0, nw) {
 		return
 	}

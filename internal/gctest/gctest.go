@@ -326,47 +326,12 @@ func (d *Driver) verifyValue(v heap.Value, s Shadow, seen map[heap.Value]*Node, 
 }
 
 // Fingerprint produces a deterministic signature of the reachable graph for
-// cross-collector differential comparison.
+// cross-collector differential comparison: core.Fingerprint over the
+// driver's roots in slot order.
 func (d *Driver) Fingerprint() uint64 {
-	var hash uint64 = 14695981039346656037
-	mix := func(x uint64) {
-		hash ^= x
-		hash *= 1099511628211
-	}
-	ids := make(map[heap.Value]uint64)
-	var walk func(v heap.Value)
-	walk = func(v heap.Value) {
-		switch {
-		case v == heap.Nil:
-			mix(1)
-		case v.IsInt():
-			mix(2)
-			mix(uint64(v.Int()))
-		default:
-			if id, ok := ids[v]; ok {
-				mix(3)
-				mix(id)
-				return
-			}
-			id := uint64(len(ids) + 1)
-			ids[v] = id
-			hdr := d.M.Header(v)
-			mix(4)
-			mix(uint64(hdr.Kind()))
-			mix(uint64(hdr.Len()))
-			if !hdr.Kind().HasPointers() {
-				for i := 0; i < hdr.Len(); i++ {
-					mix(uint64(d.M.GetByte(v, i)))
-				}
-				return
-			}
-			for i := 0; i < hdr.Len(); i++ {
-				walk(d.M.Get(v, i))
-			}
-		}
-	}
+	f := core.NewFingerprint(d.M)
 	for _, p := range d.roots.slots {
-		walk(p)
+		f.Walk(p)
 	}
-	return hash
+	return f.Sum()
 }

@@ -85,23 +85,19 @@ func (md *MultiDriver) Verify() error {
 // Fingerprint combines the members' reachable-graph fingerprints with the
 // shared array's contents into one address-independent signature.
 func (md *MultiDriver) Fingerprint() uint64 {
-	var hash uint64 = 14695981039346656037
-	mix := func(x uint64) {
-		hash ^= x
-		hash *= 1099511628211
-	}
-	for _, d := range md.Drivers {
-		mix(d.Fingerprint())
-	}
 	m := md.G.Members[0]
+	f := core.NewFingerprint(m)
+	for _, d := range md.Drivers {
+		f.Mix(d.Fingerprint())
+	}
 	p := m.HandleVal(md.shared)
 	for i := 0; i < sharedSlots; i++ {
 		v := m.Get(p, i)
 		if v.IsInt() {
-			mix(uint64(v.Int()))
+			f.Mix(uint64(v.Int()))
 		} else {
-			mix(uint64(v))
+			f.Mix(uint64(v))
 		}
 	}
-	return hash
+	return f.Sum()
 }

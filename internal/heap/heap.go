@@ -1,6 +1,9 @@
 package heap
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Config sizes a Heap. All quantities are bytes. The defaults mirror the
 // paper's experimental ranges: nurseries of 0.2–1 MB (parameter N) that can
@@ -208,27 +211,63 @@ func (h *Heap) StoreByte(p Value, i int, b byte) {
 	h.Arena[idx] = Value(w)
 }
 
+// LoadBytes reads len(dst) payload bytes of a byte-kind object starting at
+// byte offset off. The unaligned head and tail (at most seven bytes each)
+// go through LoadByte; the word-aligned body is read as whole
+// little-endian words, so the result is bit-identical to a LoadByte loop.
+func (h *Heap) LoadBytes(p Value, off int, dst []byte) {
+	i := 0
+	for ; i < len(dst) && (off+i)%BytesPerWord != 0; i++ {
+		dst[i] = h.LoadByte(p, off+i)
+	}
+	if words := (len(dst) - i) / BytesPerWord; words > 0 {
+		base := p.index() + uint64((off+i)/BytesPerWord)
+		for _, w := range h.Arena[base : base+uint64(words)] {
+			binary.LittleEndian.PutUint64(dst[i:], uint64(w))
+			i += BytesPerWord
+		}
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = h.LoadByte(p, off+i)
+	}
+}
+
+// StoreBytes writes data into the payload of a byte-kind object starting at
+// byte offset off: StoreByte for the unaligned head and tail, whole
+// little-endian words for the aligned body, bit-identical to a StoreByte
+// loop. Bytes outside [off, off+len(data)) are untouched.
+func (h *Heap) StoreBytes(p Value, off int, data []byte) {
+	i := 0
+	for ; i < len(data) && (off+i)%BytesPerWord != 0; i++ {
+		h.StoreByte(p, off+i, data[i])
+	}
+	if words := (len(data) - i) / BytesPerWord; words > 0 {
+		base := p.index() + uint64((off+i)/BytesPerWord)
+		body := h.Arena[base : base+uint64(words)]
+		for k := range body {
+			body[k] = Value(binary.LittleEndian.Uint64(data[i:]))
+			i += BytesPerWord
+		}
+	}
+	for ; i < len(data); i++ {
+		h.StoreByte(p, off+i, data[i])
+	}
+}
+
 // Bytes copies the payload of a byte-kind object into a fresh Go slice.
 func (h *Heap) Bytes(p Value) []byte {
-	hdr := h.HeaderOf(p)
-	n := hdr.Len()
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = h.LoadByte(p, i)
-	}
+	out := make([]byte, h.HeaderOf(p).Len())
+	h.LoadBytes(p, 0, out)
 	return out
 }
 
 // SetBytes writes b into the payload of a byte-kind object starting at 0.
-func (h *Heap) SetBytes(p Value, b []byte) {
-	for i, c := range b {
-		h.StoreByte(p, i, c)
-	}
-}
+func (h *Heap) SetBytes(p Value, b []byte) { h.StoreBytes(p, 0, b) }
 
 // CopyPayloadBytes copies n payload bytes starting at byte offset off from
 // src into the same offsets of dst — the block-copy path for reapplying a
-// logged byte-range mutation to a replica. The word-aligned body moves as a
+// logged byte-range mutation to a replica, and for the mutator's byte-range
+// copies (core.Mutator.CopyByteRange). The word-aligned body moves as a
 // single copy() over the arena; only the unaligned head and tail (at most
 // seven bytes each) fall back to byte stores, so the result is bit-identical
 // to a byte-at-a-time loop at memmove speed.

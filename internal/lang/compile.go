@@ -119,9 +119,10 @@ func Compile(m *core.Mutator, src string) (prog *bytecode.Program, err error) {
 	}
 	entry.emit(m, bytecode.Instr{Op: bytecode.OpHalt})
 
-	prog = &bytecode.Program{Strings: c.literals, Entry: 0}
-	for _, b := range c.blocks {
-		prog.Blocks = append(prog.Blocks, b.assemble(m))
+	prog = &bytecode.Program{Strings: c.literals, Entry: 0, Blocks: make([]bytecode.Block, len(c.blocks))}
+	var raw []byte
+	for i, b := range c.blocks {
+		prog.Blocks[i], raw = b.assemble(m, raw)
 	}
 	return prog, nil
 }

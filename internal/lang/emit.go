@@ -23,10 +23,10 @@ func (r *bufRoots) VisitRoots(v core.RootVisitor) {
 
 // blockBuf is an open code buffer for one block being compiled. The buffer
 // is a mutable byte object on the simulated heap; every emitted instruction
-// is written byte by byte through the mutator's (logged) byte-store path,
-// and branch backpatching rewrites earlier bytes — this is the Comp
-// workload's signature mutation pattern (paper §4.5: "Comp contains many
-// mutations to byte data").
+// is stored through the mutator's (logged) byte-range path, and branch
+// backpatching rewrites earlier bytes — this is the Comp workload's
+// signature mutation pattern (paper §4.5: "Comp contains many mutations to
+// byte data").
 type blockBuf struct {
 	name  string
 	roots *bufRoots
@@ -38,13 +38,14 @@ type blockBuf struct {
 	// heap buffer, so sequential emission produces one logged mutation
 	// per flush rather than one per instruction — ordinary emitter
 	// buffering, which also matches a realistic storelist density.
-	pending      []byte
+	pending      [flushThreshold]byte
+	npending     int // bytes of pending in use
 	pendingStart int // byte offset of pending[0] in the heap buffer
 }
 
 const initialBlockCap = 16 * bytecode.EncodedSize
 
-// flushThreshold bounds the emission buffer (in instructions).
+// flushThreshold bounds the emission buffer: eight instructions' bytes.
 const flushThreshold = 8 * bytecode.EncodedSize
 
 // newBlockBuf allocates a fresh code buffer rooted in roots.
@@ -61,11 +62,11 @@ func (b *blockBuf) obj() heap.Value { return b.roots.slots[b.idx] }
 
 // flush stores any pending encoded instructions into the heap buffer.
 func (b *blockBuf) flush(m *core.Mutator) {
-	if len(b.pending) == 0 {
+	if b.npending == 0 {
 		return
 	}
-	m.SetByteRange(b.obj(), b.pendingStart, b.pending)
-	b.pending = b.pending[:0]
+	m.SetByteRange(b.obj(), b.pendingStart, b.pending[:b.npending])
+	b.npending = 0
 }
 
 // emit appends one instruction and returns its index.
@@ -75,13 +76,12 @@ func (b *blockBuf) emit(m *core.Mutator, ins bytecode.Instr) int {
 		b.flush(m)
 		b.grow(m)
 	}
-	if len(b.pending) == 0 {
+	if b.npending == 0 {
 		b.pendingStart = off
 	}
-	var enc [bytecode.EncodedSize]byte
-	ins.EncodeInto(enc[:], 0)
-	b.pending = append(b.pending, enc[:]...)
-	if len(b.pending) >= flushThreshold {
+	ins.EncodeInto(b.pending[:], b.npending)
+	b.npending += bytecode.EncodedSize
+	if b.npending == flushThreshold {
 		b.flush(m)
 	}
 	m.Step(3)
@@ -89,7 +89,7 @@ func (b *blockBuf) emit(m *core.Mutator, ins bytecode.Instr) int {
 	return b.n - 1
 }
 
-// grow doubles the buffer, copying through the heap byte paths.
+// grow doubles the buffer, block-copying the used bytes heap to heap.
 func (b *blockBuf) grow(m *core.Mutator) {
 	newCap := b.cap * 2
 	np := m.MustAllocBytes(newCap)
@@ -97,11 +97,7 @@ func (b *blockBuf) grow(m *core.Mutator) {
 	// re-reading it after the allocation is safe.
 	op := b.obj()
 	used := b.n * bytecode.EncodedSize
-	chunk := make([]byte, used)
-	for i := range chunk {
-		chunk[i] = m.GetByte(op, i)
-	}
-	m.SetByteRange(np, 0, chunk)
+	m.CopyByteRange(np, op, used)
 	m.Step(used / 4)
 	b.roots.slots[b.idx] = np
 	b.cap = newCap
@@ -119,22 +115,26 @@ func (b *blockBuf) patch(m *core.Mutator, idx int, ins bytecode.Instr) {
 // read decodes the instruction at index idx back out of the heap buffer.
 func (b *blockBuf) read(m *core.Mutator, idx int) bytecode.Instr {
 	b.flush(m)
-	off := idx * bytecode.EncodedSize
 	var enc [bytecode.EncodedSize]byte
-	p := b.obj()
-	for i := range enc {
-		enc[i] = m.GetByte(p, off+i)
-	}
+	m.GetByteRange(b.obj(), idx*bytecode.EncodedSize, enc[:])
 	return bytecode.DecodeInstr(enc[:], 0)
 }
 
-// assemble decodes the finished buffer into a bytecode block.
-func (b *blockBuf) assemble(m *core.Mutator) bytecode.Block {
+// assemble decodes the finished buffer into a bytecode block. The buffer's
+// bytes are read into raw, grown as needed and returned so one Go buffer
+// serves a whole compilation.
+func (b *blockBuf) assemble(m *core.Mutator, raw []byte) (bytecode.Block, []byte) {
 	b.flush(m)
+	size := b.n * bytecode.EncodedSize
+	if cap(raw) < size {
+		raw = make([]byte, size)
+	}
+	raw = raw[:size]
+	m.GetByteRange(b.obj(), 0, raw)
 	code := make([]bytecode.Instr, b.n)
 	for i := range code {
-		code[i] = b.read(m, i)
+		code[i] = bytecode.DecodeInstr(raw, i*bytecode.EncodedSize)
 	}
 	m.Step(b.n)
-	return bytecode.Block{Name: b.name, Code: code}
+	return bytecode.Block{Name: b.name, Code: code}, raw
 }

@@ -1,70 +1,28 @@
 package workload
 
-// The end-of-run heap fingerprint: an FNV-1a digest of the reachable session
-// graph, walked semantically (visit-order object ids, never addresses), so
-// two collectors that served the same trace correctly produce the same
-// fingerprint even though they laid the heap out differently. This is the
-// cross-collector correctness oracle of the determinism matrix.
+// The end-of-run heap fingerprint: core.Fingerprint over the reachable
+// session graph, so two collectors that served the same trace correctly
+// produce the same fingerprint even though they laid the heap out
+// differently. This is the cross-collector correctness oracle of the
+// determinism matrix.
 
-import (
-	"repligc/internal/core"
-	"repligc/internal/heap"
-)
+import "repligc/internal/core"
 
-// heapFingerprint walks every session root in (cohort, slot) order. It reads
-// through the Mutator (getheader follows forwarding), so it is safe whenever
-// the mutator is — including between incremental collection steps.
+// heapFingerprint walks every session root in (cohort, slot) order. The
+// engine's root tables are a prefix of the handle stack, pushed in that
+// order before any request ran; enumerate them the same way. Cohort
+// boundaries are mixed in so an empty cohort still shapes the digest.
 func heapFingerprint(m *core.Mutator, spec *Spec, t *Trace) uint64 {
-	var hash uint64 = 14695981039346656037
-	mix := func(x uint64) {
-		hash ^= x
-		hash *= 1099511628211
-	}
-	ids := make(map[heap.Value]uint64)
-	var walk func(v heap.Value)
-	walk = func(v heap.Value) {
-		switch {
-		case v == heap.Nil:
-			mix(1)
-		case v.IsInt():
-			mix(2)
-			mix(uint64(v.Int()))
-		default:
-			if id, ok := ids[v]; ok {
-				mix(3)
-				mix(id)
-				return
-			}
-			id := uint64(len(ids) + 1)
-			ids[v] = id
-			hdr := m.Header(v)
-			mix(4)
-			mix(uint64(hdr.Kind()))
-			mix(uint64(hdr.Len()))
-			if !hdr.Kind().HasPointers() {
-				for i := 0; i < hdr.Len(); i++ {
-					mix(uint64(m.GetByte(v, i)))
-				}
-				return
-			}
-			for i := 0; i < hdr.Len(); i++ {
-				walk(m.Get(v, i))
-			}
-		}
-	}
-	// The engine's root tables are a prefix of the handle stack, pushed in
-	// (cohort, slot) order before any request ran; enumerate them the same
-	// way. Cohort boundaries are mixed in so an empty cohort still shapes
-	// the digest.
+	f := core.NewFingerprint(m)
 	slotCounts := t.slotCount()
 	h := core.Handle(0)
 	for ci := range spec.Cohorts {
-		mix(5)
-		mix(uint64(ci))
+		f.Mix(5)
+		f.Mix(uint64(ci))
 		for s := int32(0); s < slotCounts[ci]; s++ {
-			walk(m.HandleVal(h))
+			f.Walk(m.HandleVal(h))
 			h++
 		}
 	}
-	return hash
+	return f.Sum()
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -370,5 +371,31 @@ func TestSpecValidation(t *testing.T) {
 	// ParseSpec rejects unknown fields.
 	if _, err := ParseSpec([]byte(`{"name":"x","duration_ms":1,"cohorts":[],"typo_field":1}`)); err == nil {
 		t.Error("ParseSpec accepted an unknown field")
+	}
+}
+
+// TestCommittedSpecFingerprintPinned pins the end-of-run heap fingerprint
+// of the committed serving spec under the real-time collector to the value
+// taken before the walker moved into core, so the cohort markers and the
+// walk's encoding stay bit-identical.
+func TestCommittedSpecFingerprintPinned(t *testing.T) {
+	data, err := os.ReadFile("../../examples/serve/mixed.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRuntime(spec, RuntimeOptions{Collector: CollectorRT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leg, err := Serve(rt, mustGenerate(t, spec), "pin", ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "b4251bcb900cc154"; leg.HeapFingerprint != want {
+		t.Fatalf("heap fingerprint %s, want %s", leg.HeapFingerprint, want)
 	}
 }

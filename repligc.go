@@ -170,8 +170,78 @@ type Runtime struct {
 	Clock   *Clock
 }
 
-// NewRealTime builds a runtime with the replication collector.
+// ConfigError reports constructor options that cannot build a runtime: a
+// negative size, or a heap whose arena (nursery cap plus both old
+// semispaces) exceeds heap.MaxArenaBytes.
+type ConfigError struct {
+	Field  string // the offending option ("CopyLimitBytes", "HeapConfig.OldSemiBytes", ...) or "nursery cap"
+	Value  int64
+	Reason string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("repligc: %s = %d: %s", e.Field, e.Value, e.Reason)
+}
+
+// sizeOption is one named option value for checkNonNegative.
+type sizeOption struct {
+	name string
+	v    int64
+}
+
+// checkNonNegative returns a *ConfigError for the first negative option.
+func checkNonNegative(opts ...sizeOption) error {
+	for _, o := range opts {
+		if o.v < 0 {
+			return &ConfigError{Field: o.name, Value: o.v, Reason: "must not be negative"}
+		}
+	}
+	return nil
+}
+
+// newHeap builds the facade's heap from hc, whose zero fields take the
+// defaults: a nursery of nurseryBytes, a nursery cap of 64 nurseries and
+// 96 MB old semispaces. Sizes heap.New would panic on come back as a
+// *ConfigError.
+func newHeap(hc HeapConfig, nurseryBytes int64) (*Heap, error) {
+	if err := checkNonNegative(
+		sizeOption{"HeapConfig.NurseryBytes", hc.NurseryBytes},
+		sizeOption{"HeapConfig.NurseryCapBytes", hc.NurseryCapBytes},
+		sizeOption{"HeapConfig.OldSemiBytes", hc.OldSemiBytes},
+	); err != nil {
+		return nil, err
+	}
+	if hc.NurseryBytes == 0 {
+		hc.NurseryBytes = nurseryBytes
+	}
+	if hc.OldSemiBytes == 0 {
+		hc.OldSemiBytes = 96 << 20
+	}
+	if hc.NurseryCapBytes == 0 && hc.NurseryBytes <= heap.MaxArenaBytes {
+		hc.NurseryCapBytes = 64 * hc.NurseryBytes
+	}
+	const tooLarge = "heap arena larger than heap.MaxArenaBytes"
+	nurseryCap := max(hc.NurseryCapBytes, hc.NurseryBytes) // heap.New's floor
+	if nurseryCap > heap.MaxArenaBytes {
+		return nil, &ConfigError{Field: "nursery cap", Value: nurseryCap, Reason: tooLarge}
+	}
+	if !heap.ArenaFits(nurseryCap, hc.OldSemiBytes) {
+		return nil, &ConfigError{Field: "HeapConfig.OldSemiBytes", Value: hc.OldSemiBytes, Reason: tooLarge}
+	}
+	return heap.New(hc), nil
+}
+
+// NewRealTime builds a runtime with the replication collector. Options it
+// cannot honour are reported as a *ConfigError.
 func NewRealTime(o RealTimeOptions) (*Runtime, error) {
+	if err := checkNonNegative(
+		sizeOption{"NurseryBytes", o.NurseryBytes},
+		sizeOption{"MajorThresholdBytes", o.MajorThresholdBytes},
+		sizeOption{"CopyLimitBytes", o.CopyLimitBytes},
+		sizeOption{"InterleavedTaxPermille", int64(o.InterleavedTaxPermille)},
+	); err != nil {
+		return nil, err
+	}
 	if o.NurseryBytes == 0 {
 		o.NurseryBytes = 200 << 10
 	}
@@ -181,17 +251,10 @@ func NewRealTime(o RealTimeOptions) (*Runtime, error) {
 	if o.CopyLimitBytes == 0 {
 		o.CopyLimitBytes = 100 << 10
 	}
-	hc := o.HeapConfig
-	if hc.NurseryBytes == 0 {
-		hc.NurseryBytes = o.NurseryBytes
+	h, err := newHeap(o.HeapConfig, o.NurseryBytes)
+	if err != nil {
+		return nil, err
 	}
-	if hc.NurseryCapBytes == 0 {
-		hc.NurseryCapBytes = 64 * hc.NurseryBytes
-	}
-	if hc.OldSemiBytes == 0 {
-		hc.OldSemiBytes = 96 << 20
-	}
-	h := heap.New(hc)
 	clock := simtime.NewClock()
 	m := core.NewMutator(h, clock, simtime.Default1993(), core.LogAllMutations)
 	gc := core.NewReplicating(h, core.Config{
@@ -212,14 +275,16 @@ func NewRealTime(o RealTimeOptions) (*Runtime, error) {
 // driven by a policy script recorded from a real-time run — the paper's
 // §4.2 methodology for measuring mechanism costs with identical policy.
 func NewStopCopyReplay(nurseryBytes int64, script *Script) (*Runtime, error) {
+	if err := checkNonNegative(sizeOption{"nurseryBytes", nurseryBytes}); err != nil {
+		return nil, err
+	}
 	if nurseryBytes == 0 {
 		nurseryBytes = 200 << 10
 	}
-	h := heap.New(HeapConfig{
-		NurseryBytes:    nurseryBytes,
-		NurseryCapBytes: 64 * nurseryBytes,
-		OldSemiBytes:    96 << 20,
-	})
+	h, err := newHeap(HeapConfig{}, nurseryBytes)
+	if err != nil {
+		return nil, err
+	}
 	clock := simtime.NewClock()
 	m := core.NewMutator(h, clock, simtime.Default1993(), core.LogAllMutations)
 	gc := stopcopy.New(h, stopcopy.Config{NurseryBytes: nurseryBytes, Replay: script})
@@ -229,17 +294,22 @@ func NewStopCopyReplay(nurseryBytes int64, script *Script) (*Runtime, error) {
 
 // NewStopCopy builds a runtime with the stop-and-copy baseline.
 func NewStopCopy(nurseryBytes, majorThresholdBytes int64) (*Runtime, error) {
+	if err := checkNonNegative(
+		sizeOption{"nurseryBytes", nurseryBytes},
+		sizeOption{"majorThresholdBytes", majorThresholdBytes},
+	); err != nil {
+		return nil, err
+	}
 	if nurseryBytes == 0 {
 		nurseryBytes = 200 << 10
 	}
 	if majorThresholdBytes == 0 {
 		majorThresholdBytes = 1 << 20
 	}
-	h := heap.New(HeapConfig{
-		NurseryBytes:    nurseryBytes,
-		NurseryCapBytes: 64 * nurseryBytes,
-		OldSemiBytes:    96 << 20,
-	})
+	h, err := newHeap(HeapConfig{}, nurseryBytes)
+	if err != nil {
+		return nil, err
+	}
 	clock := simtime.NewClock()
 	m := core.NewMutator(h, clock, simtime.Default1993(), core.LogPointersOnly)
 	gc := stopcopy.New(h, stopcopy.Config{

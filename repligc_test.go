@@ -1,6 +1,7 @@
 package repligc_test
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -110,5 +111,55 @@ func TestSampleProgramsRun(t *testing.T) {
 		if !strings.Contains(out, c.want) {
 			t.Errorf("%s: output %q missing %q", c.file, out, c.want)
 		}
+	}
+}
+
+// TestConstructorsRejectBadSizes: negative sizes and arenas past
+// heap.MaxArenaBytes come back from every facade constructor as a typed
+// *ConfigError naming the option, never as a panic inside heap.New.
+func TestConstructorsRejectBadSizes(t *testing.T) {
+	const gib = int64(1) << 30
+	rt := func(o repligc.RealTimeOptions) func() (*repligc.Runtime, error) {
+		return func() (*repligc.Runtime, error) { return repligc.NewRealTime(o) }
+	}
+	for _, c := range []struct {
+		name  string
+		build func() (*repligc.Runtime, error)
+		field string // "" when the options are valid
+	}{
+		{"defaults", rt(repligc.RealTimeOptions{}), ""},
+		{"explicit heap", rt(repligc.RealTimeOptions{HeapConfig: repligc.HeapConfig{NurseryBytes: 64 << 10, NurseryCapBytes: 1 << 20, OldSemiBytes: 8 << 20}}), ""},
+		{"cap below nursery", rt(repligc.RealTimeOptions{HeapConfig: repligc.HeapConfig{NurseryBytes: 1 << 20, NurseryCapBytes: 64 << 10, OldSemiBytes: 8 << 20}}), ""},
+		{"negative nursery", rt(repligc.RealTimeOptions{NurseryBytes: -1}), "NurseryBytes"},
+		{"negative major threshold", rt(repligc.RealTimeOptions{MajorThresholdBytes: -1}), "MajorThresholdBytes"},
+		{"negative copy limit", rt(repligc.RealTimeOptions{CopyLimitBytes: -8}), "CopyLimitBytes"},
+		{"negative tax", rt(repligc.RealTimeOptions{InterleavedTaxPermille: -1}), "InterleavedTaxPermille"},
+		{"negative heap nursery", rt(repligc.RealTimeOptions{HeapConfig: repligc.HeapConfig{NurseryBytes: -1}}), "HeapConfig.NurseryBytes"},
+		{"negative nursery cap", rt(repligc.RealTimeOptions{HeapConfig: repligc.HeapConfig{NurseryCapBytes: -1}}), "HeapConfig.NurseryCapBytes"},
+		{"negative semispace", rt(repligc.RealTimeOptions{HeapConfig: repligc.HeapConfig{OldSemiBytes: -1}}), "HeapConfig.OldSemiBytes"},
+		{"semispaces past the limit", rt(repligc.RealTimeOptions{HeapConfig: repligc.HeapConfig{OldSemiBytes: 3 * gib}}), "HeapConfig.OldSemiBytes"},
+		{"default cap past the limit", rt(repligc.RealTimeOptions{NurseryBytes: 128 << 20}), "nursery cap"},
+		{"huge nursery", rt(repligc.RealTimeOptions{NurseryBytes: 1 << 62}), "nursery cap"},
+		{"nursery cap past the limit", rt(repligc.RealTimeOptions{HeapConfig: repligc.HeapConfig{NurseryCapBytes: 5 * gib}}), "nursery cap"},
+		{"stop-copy negative nursery", func() (*repligc.Runtime, error) { return repligc.NewStopCopy(-1, 0) }, "nurseryBytes"},
+		{"stop-copy negative threshold", func() (*repligc.Runtime, error) { return repligc.NewStopCopy(0, -1) }, "majorThresholdBytes"},
+		{"replay huge nursery", func() (*repligc.Runtime, error) { return repligc.NewStopCopyReplay(1<<40, nil) }, "nursery cap"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := c.build()
+			if c.field == "" {
+				if err != nil || r == nil {
+					t.Fatalf("valid options rejected: %v", err)
+				}
+				return
+			}
+			var ce *repligc.ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("error %v (%T), want *ConfigError", err, err)
+			}
+			if ce.Field != c.field || r != nil {
+				t.Fatalf("error names %q (runtime %v), want %q", ce.Field, r, c.field)
+			}
+		})
 	}
 }
